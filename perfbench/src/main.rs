@@ -6,13 +6,16 @@
 //! ```
 //!
 //! `--bin-dir` holds the `privmech-serve` and `privmech-router` binaries
-//! (`run.sh` builds them and passes it). The run prints a full report line
-//! and then, as the last line of standard output, the summary line that
-//! benchmark runners read (see `BENCHMARK.json`). Progress, failed requests
-//! and gate mismatches go to standard error. A traced run also writes its spans as JSON Lines under
+//! (`run.sh` builds them and passes it). `BENCHMARK.json` declares `hot` and
+//! `offline`; `tail` runs on its own too, and `hot`'s traced run includes it.
+//!
+//! The run prints a full report line and then, as the last line of standard
+//! output, the summary line that benchmark runners read (see
+//! `BENCHMARK.json`). Progress, failed requests and gate mismatches go to
+//! standard error. A traced run also writes its spans as JSON Lines under
 //! `.bench_trace/`. The exit code is 0 for a correct, valid run, 1 for a
 //! correctness-gate mismatch, 2 for bad arguments or an I/O failure, and 3
-//! when the load generator fell too far behind to report.
+//! when the load generator fell too far behind in every measurement made.
 //! `METHODOLOGY.md` describes the workloads and metrics.
 
 #![forbid(unsafe_code)]
@@ -72,10 +75,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let workload = workload.ok_or("--workload is required")?;
-    if !report::WORKLOADS.contains(&workload.as_str()) {
+    if !report::RUNNABLE.contains(&workload.as_str()) {
         return Err(format!(
             "unknown workload {workload}; one of {:?}",
-            report::WORKLOADS
+            report::RUNNABLE
         ));
     }
     let seconds = seconds.ok_or("--seconds is required")?;
@@ -129,13 +132,31 @@ fn cpu_calibration_ms() -> f64 {
 
 fn run(args: &Args) -> std::io::Result<Outcome> {
     match args.workload.as_str() {
-        "hot" => serving::run(
-            &serving::hot(),
-            &args.bin_dir,
-            args.seed,
-            args.seconds,
-            args.traced,
-        ),
+        "hot" => {
+            let mut outcome = serving::run(
+                &serving::hot(),
+                &args.bin_dir,
+                args.seed,
+                args.seconds,
+                args.traced,
+            )?;
+            if args.traced {
+                // `tail` is not a declared workload, so `hot`'s traced run
+                // carries its fleet's per-layer numbers.
+                let mut tail = serving::run(
+                    &serving::tail(),
+                    &args.bin_dir,
+                    args.seed,
+                    args.seconds,
+                    true,
+                )?;
+                if let Some(tracer) = tail.tracer.take() {
+                    write_trace("tail", args.seed, &tracer)?;
+                }
+                outcome.absorb_tail(tail);
+            }
+            Ok(outcome)
+        }
         "tail" => serving::run(
             &serving::tail(),
             &args.bin_dir,
@@ -147,6 +168,20 @@ fn run(args: &Args) -> std::io::Result<Outcome> {
     }
 }
 
+/// Write a traced run's spans to `.bench_trace/<workload>-seed<N>.jsonl`.
+fn write_trace(workload: &str, seed: u64, tracer: &trace::Tracer) -> std::io::Result<()> {
+    let path = PathBuf::from(format!(".bench_trace/{workload}-seed{seed}.jsonl"));
+    tracer.write_jsonl(&path).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+    })?;
+    eprintln!(
+        "perfbench: {} spans written to {}",
+        tracer.spans().len(),
+        path.display()
+    );
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -155,6 +190,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if !report::WORKLOADS.contains(&args.workload.as_str()) {
+        eprintln!(
+            "perfbench: {} is not declared in BENCHMARK.json; its numbers carry no bound",
+            args.workload
+        );
+    }
     let env = environment();
     let outcome = match run(&args) {
         Ok(outcome) => outcome,
@@ -164,19 +205,10 @@ fn main() -> ExitCode {
         }
     };
     if let Some(tracer) = &outcome.tracer {
-        let path = PathBuf::from(format!(
-            ".bench_trace/{}-seed{}.jsonl",
-            args.workload, args.seed
-        ));
-        if let Err(e) = tracer.write_jsonl(&path) {
-            eprintln!("perfbench: cannot write {}: {e}", path.display());
+        if let Err(e) = write_trace(&args.workload, args.seed, tracer) {
+            eprintln!("perfbench: {e}");
             return ExitCode::from(2);
         }
-        eprintln!(
-            "perfbench: {} spans written to {}",
-            tracer.spans().len(),
-            path.display()
-        );
     }
     if let Validity::Invalid(reason) = &outcome.validity {
         eprintln!("perfbench: run invalid, not reported: {reason}");

@@ -24,7 +24,7 @@ use privmech_serve::proto::{
     assemble_solves, matrix_to_wire, mechanism_from_wire, render_interaction, render_solve,
     routing_key, split_solves, ConsumerSpec, WireError, WireScalar,
 };
-use privmech_serve::{ShardRing, ShardedCache};
+use privmech_serve::{ServerConfig, ShardRing, ShardedCache};
 
 use crate::trace::Tracer;
 
@@ -50,17 +50,14 @@ pub struct Replay {
     pub rendered: BTreeMap<usize, Vec<String>>,
 }
 
-/// Server defaults: 4096 entries over 8 lock shards per process.
-const CACHE_CAPACITY: usize = 4096;
-const CACHE_SHARDS: usize = 8;
-
 impl Replay {
     /// A cold replay over `shards` server processes.
     #[must_use]
     pub fn new(shards: usize) -> Self {
+        let server = ServerConfig::default();
         Replay {
             caches: (0..shards)
-                .map(|_| ShardedCache::new(CACHE_CAPACITY, CACHE_SHARDS))
+                .map(|_| ShardedCache::new(server.cache_capacity, server.cache_shards))
                 .collect(),
             ring: ShardRing::with_default_vnodes(shards),
             engine: BTreeMap::new(),
