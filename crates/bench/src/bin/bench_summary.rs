@@ -18,6 +18,11 @@
 //!               [--sweep-mem] [--sweep-mem-n <n>] [--sweep-mem-points <k>]
 //! ```
 //!
+//! The default record is the per-size solve ladder up to `--max-n`. Every
+//! entry is solved `--reps` times and records the median, minimum and
+//! maximum wall time next to its pivot statistics; the record carries the
+//! core count (`nproc`) of the machine that produced it.
+//!
 //! `--sweep` appends an α-sweep comparison record instead of the per-size
 //! solve record: a 16-point exact α-sweep solved (a) cold, by sequential
 //! per-α `DirectLp` engine solves each rebuilding the Section 2.5 LP, (b) by
@@ -83,32 +88,43 @@ struct RunResult {
     name: String,
     scalar: &'static str,
     n: usize,
-    median_ns: u128,
-    samples: usize,
+    timing: Timing,
     stats: PivotStats,
 }
 
-/// Time `f` adaptively: slow workloads run once, fast ones `reps` times; the
-/// median is reported.
-fn time_workload<F: FnMut() -> PivotStats>(reps: usize, mut f: F) -> (u128, usize, PivotStats) {
-    let start = Instant::now();
-    let stats = f();
-    let first = start.elapsed().as_nanos();
-    // Re-running a multi-second exact solve several times buys no precision
-    // worth its wall-clock cost.
-    let extra = if first > 2_000_000_000 {
-        0
-    } else {
-        reps.saturating_sub(1)
-    };
-    let mut times = vec![first];
-    for _ in 0..extra {
+/// Wall times of one workload's repeats.
+struct Timing {
+    median_ns: u128,
+    min_ns: u128,
+    max_ns: u128,
+    samples: usize,
+}
+
+/// Run `f` `reps` times (at least once) and summarize the wall times, so
+/// every record carries its spread next to its median.
+fn time_workload<F: FnMut() -> PivotStats>(reps: usize, mut f: F) -> (Timing, PivotStats) {
+    let mut times = Vec::with_capacity(reps.max(1));
+    let mut stats = None;
+    for _ in 0..reps.max(1) {
         let start = Instant::now();
-        f();
+        let s = f();
         times.push(start.elapsed().as_nanos());
+        stats.get_or_insert(s);
     }
     times.sort_unstable();
-    (times[times.len() / 2], times.len(), stats)
+    let timing = Timing {
+        median_ns: times[times.len() / 2],
+        min_ns: times[0],
+        max_ns: times[times.len() - 1],
+        samples: times.len(),
+    };
+    (timing, stats.expect("at least one repeat"))
+}
+
+/// Cores available to this process, recorded so runs on different
+/// machines are not compared as if alike.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn direct_request<T: privmech_linalg::Scalar>(
@@ -122,14 +138,13 @@ fn run_exact(n: usize, reps: usize) -> RunResult {
     let engine = PrivacyEngine::with_threads(1);
     let level: PrivacyLevel<Rational> = PrivacyLevel::new(rat(1, 4)).expect("valid alpha");
     let request = direct_request(level, bench_consumer(n));
-    let (median_ns, samples, stats) =
+    let (timing, stats) =
         time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
     RunResult {
         name: format!("exact_full_S/{n}"),
         scalar: "rational",
         n,
-        median_ns,
-        samples,
+        timing,
         stats,
     }
 }
@@ -146,14 +161,13 @@ fn run_exact_devex(n: usize, reps: usize) -> RunResult {
         pricing: PricingRule::Devex,
         ..SolverOptions::default()
     });
-    let (median_ns, samples, stats) =
+    let (timing, stats) =
         time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
     RunResult {
         name: format!("exact_full_S_devex/{n}"),
         scalar: "rational",
         n,
-        median_ns,
-        samples,
+        timing,
         stats,
     }
 }
@@ -162,14 +176,13 @@ fn run_f64(n: usize, reps: usize) -> RunResult {
     let engine = PrivacyEngine::with_threads(1);
     let level = PrivacyLevel::new(0.25f64).expect("valid alpha");
     let request = direct_request(level, bench_consumer(n));
-    let (median_ns, samples, stats) =
+    let (timing, stats) =
         time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
     RunResult {
         name: format!("f64_full_S/{n}"),
         scalar: "f64",
         n,
-        median_ns,
-        samples,
+        timing,
         stats,
     }
 }
@@ -178,35 +191,40 @@ fn run_f64_interval(n: usize, reps: usize) -> RunResult {
     let engine = PrivacyEngine::with_threads(1);
     let level = PrivacyLevel::new(0.25f64).expect("valid alpha");
     let request = direct_request(level, bench_interval_consumer(n));
-    let (median_ns, samples, stats) =
+    let (timing, stats) =
         time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
     RunResult {
         name: format!("f64_interval_S/{n}"),
         scalar: "f64",
         n,
-        median_ns,
-        samples,
+        timing,
         stats,
     }
 }
 
 fn json_record(label: &str, results: &[RunResult]) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{{\"label\": \"{label}\", \"results\": ["));
+    out.push_str(&format!(
+        "{{\"label\": \"{label}\", \"nproc\": {}, \"results\": [",
+        nproc()
+    ));
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str(&format!(
             "{{\"name\": \"{}\", \"scalar\": \"{}\", \"n\": {}, \"median_ns\": {}, \
-             \"samples\": {}, \"pivots\": {}, \"phase1_pivots\": {}, \
+             \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}, \"pivots\": {}, \
+             \"phase1_pivots\": {}, \
              \"degenerate_pivots\": {}, \"dantzig_pivots\": {}, \"bland_pivots\": {}, \
              \"fallback_activations\": {}}}",
             r.name,
             r.scalar,
             r.n,
-            r.median_ns,
-            r.samples,
+            r.timing.median_ns,
+            r.timing.min_ns,
+            r.timing.max_ns,
+            r.timing.samples,
             r.stats.total_pivots(),
             r.stats.phase1_pivots,
             r.stats.degenerate_pivots,
@@ -1165,9 +1183,13 @@ fn main() {
 
         for r in &results {
             eprintln!(
-                "{:<22} median {:>12} ns  pivots {:>5} (phase1 {}, degenerate {}, fallbacks {})",
+                "{:<22} median {:>12} ns (min {}, max {}, {} samples)  pivots {:>5} \
+                 (phase1 {}, degenerate {}, fallbacks {})",
                 r.name,
-                r.median_ns,
+                r.timing.median_ns,
+                r.timing.min_ns,
+                r.timing.max_ns,
+                r.timing.samples,
                 r.stats.total_pivots(),
                 r.stats.phase1_pivots,
                 r.stats.degenerate_pivots,

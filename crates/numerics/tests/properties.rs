@@ -1,8 +1,47 @@
 //! Property-based tests for the exact arithmetic substrate: ring/field axioms,
 //! ordering consistency, parse/display round-trips, and division invariants.
 
-use privmech_numerics::{BigInt, Rational};
+use privmech_numerics::{BigInt, Rational, Sign};
 use proptest::prelude::*;
+
+fn with_sign(v: BigInt, negative: bool) -> BigInt {
+    if negative {
+        -v
+    } else {
+        v
+    }
+}
+
+/// A limb biased towards the values that break carry and normalization
+/// logic.
+fn arb_limb() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        any::<u64>(),
+        Just(0u64),
+        Just(1u64),
+        Just(u64::MAX)
+    ]
+}
+
+/// Exactly three to eight limbs (the top one non-zero): past the inline
+/// storage into the heap, through the Lehmer gcd and multi-limb Knuth
+/// division.
+fn arb_wide_bigint() -> impl Strategy<Value = BigInt> {
+    (prop::collection::vec(arb_limb(), 3..=8), any::<bool>()).prop_map(|(mut limbs, neg)| {
+        let top = limbs.last_mut().expect("at least three limbs");
+        *top = (*top).max(1);
+        BigInt::from_sign_limbs(if neg { Sign::Negative } else { Sign::Positive }, limbs)
+    })
+}
+
+/// `±(2^(64k) + offset)` for `k` in 1..=5 and `offset` in -1..=1: the limb
+/// boundaries 2⁶⁴−1, 2⁶⁴, 2¹²⁸±1 and the inline/heap boundary at 2²⁵⁶.
+fn arb_boundary_bigint() -> impl Strategy<Value = BigInt> {
+    (1usize..=5, -1i64..=1, any::<bool>()).prop_map(|(k, offset, neg)| {
+        with_sign(BigInt::one().shl_bits(64 * k) + BigInt::from(offset), neg)
+    })
+}
 
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
     // Mix small values with products of large factors so multi-limb paths are hit.
@@ -11,18 +50,63 @@ fn arb_bigint() -> impl Strategy<Value = BigInt> {
         (any::<i128>(), any::<u64>()).prop_map(|(a, b)| BigInt::from(a) * BigInt::from(b)),
         (any::<i128>(), any::<i128>())
             .prop_map(|(a, b)| BigInt::from(a) * BigInt::from(b) + BigInt::from(1i64)),
+        arb_wide_bigint(),
+        arb_boundary_bigint(),
     ]
 }
 
+fn arb_nonzero_bigint() -> impl Strategy<Value = BigInt> {
+    arb_bigint().prop_map(|v| if v.is_zero() { BigInt::one() } else { v })
+}
+
 fn arb_rational() -> impl Strategy<Value = Rational> {
-    (any::<i64>(), 1i64..=1_000_000i64, any::<bool>()).prop_map(|(n, d, neg)| {
-        let r = Rational::from_ratio(n, d);
-        if neg {
-            -r
-        } else {
-            r
+    prop_oneof![
+        (any::<i64>(), 1i64..=1_000_000i64, any::<bool>()).prop_map(|(n, d, neg)| {
+            let r = Rational::from_ratio(n, d);
+            if neg {
+                -r
+            } else {
+                r
+            }
+        }),
+        // Multi-limb numerators and denominators, normalized by `new`.
+        (arb_bigint(), arb_nonzero_bigint()).prop_map(|(n, d)| Rational::new(n, d)),
+        // A shared wide factor, so normalization has real work to do.
+        (arb_bigint(), arb_nonzero_bigint(), arb_wide_bigint())
+            .prop_map(|(n, d, k)| Rational::new(&n * &k, &d * &k)),
+    ]
+}
+
+/// The bit-serial binary gcd this crate used before its Lehmer kernel:
+/// one shift-and-subtract round per bit, built only from `BigInt`'s public
+/// ring operations. Slow, but shares nothing with the fast gcd paths, so it
+/// serves as their oracle.
+fn reference_gcd(a: &BigInt, b: &BigInt) -> BigInt {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    if a.is_zero() {
+        return b;
+    }
+    if b.is_zero() {
+        return a;
+    }
+    let shift = a.trailing_zeros().min(b.trailing_zeros());
+    a = a.shr_bits(a.trailing_zeros());
+    b = b.shr_bits(b.trailing_zeros());
+    loop {
+        // a and b are both odd here.
+        match a.cmp(&b) {
+            std::cmp::Ordering::Equal => return a.shl_bits(shift),
+            std::cmp::Ordering::Less => std::mem::swap(&mut a, &mut b),
+            std::cmp::Ordering::Greater => {}
         }
-    })
+        a = &a - &b;
+        a = a.shr_bits(a.trailing_zeros());
+    }
+}
+
+/// Lowest terms with a positive denominator, checked with the oracle gcd.
+fn is_canonical(r: &Rational) -> bool {
+    r.denom().is_positive() && reference_gcd(r.numer(), r.denom()).is_one()
 }
 
 proptest! {
@@ -89,6 +173,25 @@ proptest! {
     }
 
     #[test]
+    fn bigint_gcd_is_maximal_and_matches_the_reference(a in arb_bigint(), b in arb_bigint()) {
+        let g = a.gcd(&b);
+        prop_assert_eq!(&g, &reference_gcd(&a, &b));
+        prop_assert_eq!(&g, &b.gcd(&a));
+        if !g.is_zero() {
+            // Maximality: nothing is left in common once g is divided out.
+            prop_assert!((&a / &g).gcd(&(&b / &g)).is_one());
+        }
+    }
+
+    #[test]
+    fn bigint_gcd_recovers_a_planted_factor(x in arb_bigint(), y in arb_bigint(), f in arb_nonzero_bigint()) {
+        // gcd(x·f, y·f) = |f|·gcd(x, y): a wide common factor drives the
+        // Lehmer loop through many steps before the cofactors separate.
+        let g = (&x * &f).gcd(&(&y * &f));
+        prop_assert_eq!(g, &f.abs() * &reference_gcd(&x, &y));
+    }
+
+    #[test]
     fn bigint_shift_matches_pow2_mul(a in arb_bigint(), k in 0usize..130) {
         let shifted = a.shl_bits(k);
         let pow2 = BigInt::from(2i64).pow(k as u32);
@@ -110,6 +213,22 @@ proptest! {
             prop_assert_eq!(&a * &a.recip(), Rational::one());
             prop_assert_eq!(&a / &a, Rational::one());
         }
+    }
+
+    #[test]
+    fn rational_ops_return_canonical_form(a in arb_rational(), b in arb_rational(), c in arb_rational()) {
+        let sum = &a + &b;
+        let diff = &a - &b;
+        let prod = &a * &b;
+        prop_assert!(is_canonical(&sum) && is_canonical(&diff) && is_canonical(&prod));
+        if !b.is_zero() {
+            prop_assert!(is_canonical(&(&a / &b)));
+        }
+        let fused_sub = a.sub_mul(&b, &c);
+        let fused_add = a.add_mul(&b, &c);
+        prop_assert!(is_canonical(&fused_sub) && is_canonical(&fused_add));
+        prop_assert_eq!(fused_sub, &a - &(&b * &c));
+        prop_assert_eq!(fused_add, &a + &(&b * &c));
     }
 
     #[test]
@@ -250,8 +369,9 @@ proptest! {
     #[test]
     fn gcd_fast_and_slow_paths_agree(a in arb_u64_boundary(), b in arb_u64_boundary(), k in 1usize..=70) {
         // gcd(a·2^k, b·2^k) = gcd(a, b)·2^k: with k >= 1 the left side runs
-        // the multi-limb in-place binary loop whenever a or b is large, while
-        // the right side runs the u64 fast path.
+        // the multi-limb kernels (Knuth-D reduction, the u128 binary gcd,
+        // Lehmer) whenever a or b is large, while the right side runs the
+        // u64 fast path.
         let g_shifted = BigInt::from(a).shl_bits(k).gcd(&BigInt::from(b).shl_bits(k));
         let g_small = BigInt::from(a).gcd(&BigInt::from(b)).shl_bits(k);
         prop_assert_eq!(g_shifted, g_small);
