@@ -21,7 +21,10 @@
 //! The default record is the per-size solve ladder up to `--max-n`. Every
 //! entry is solved `--reps` times and records the median, minimum and
 //! maximum wall time next to its pivot statistics; the record carries the
-//! core count (`nproc`) of the machine that produced it.
+//! core count (`nproc`) of the machine that produced it and the `git_rev`
+//! of the source it was built from (`git rev-parse HEAD`, suffixed `-dirty`
+//! when the sources differ from that commit; `unknown` outside a git
+//! checkout).
 //!
 //! `--sweep` appends an α-sweep comparison record instead of the per-size
 //! solve record: a 16-point exact α-sweep solved (a) cold, by sequential
@@ -127,6 +130,29 @@ fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The commit the measured sources come from (see the module docs).
+fn git_rev() -> String {
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let Some(head) = git(&["rev-parse", "HEAD"]).filter(|o| o.status.success()) else {
+        return "unknown".to_string();
+    };
+    let rev = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    let sources = [
+        "diff",
+        "--quiet",
+        "HEAD",
+        "--",
+        "crates",
+        "src",
+        "Cargo.toml",
+        "Cargo.lock",
+    ];
+    match git(&sources).and_then(|o| o.status.code()) {
+        Some(0) => rev,
+        _ => format!("{rev}-dirty"),
+    }
+}
+
 fn direct_request<T: privmech_linalg::Scalar>(
     level: PrivacyLevel<T>,
     consumer: MinimaxConsumer<T>,
@@ -205,8 +231,9 @@ fn run_f64_interval(n: usize, reps: usize) -> RunResult {
 fn json_record(label: &str, results: &[RunResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"label\": \"{label}\", \"nproc\": {}, \"results\": [",
-        nproc()
+        "{{\"label\": \"{label}\", \"nproc\": {}, \"git_rev\": \"{}\", \"results\": [",
+        nproc(),
+        git_rev()
     ));
     for (i, r) in results.iter().enumerate() {
         if i > 0 {

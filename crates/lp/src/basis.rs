@@ -36,7 +36,7 @@
 use privmech_linalg::sparse::{self, Eta, SparseVec};
 use privmech_linalg::Scalar;
 
-use crate::lu::LuFactors;
+use crate::lu::{LuFactors, Spike};
 use crate::model::LpError;
 use crate::simplex::FactorizationKind;
 
@@ -100,6 +100,19 @@ impl<T: Scalar> Basis<T> {
         }
     }
 
+    /// FTRAN of a column about to enter the basis: as [`Basis::ftran`],
+    /// plus what [`Basis::push_pivot`] needs to bring it in (the LU
+    /// factors' Forrest–Tomlin spike).
+    pub(crate) fn ftran_entering(&self, work: &mut [T], column: SparseVec<'_, T>) -> Entering<T> {
+        match self {
+            Basis::Eta(f) => {
+                f.ftran(work, column);
+                Entering(None)
+            }
+            Basis::Lu(f) => Entering(Some(f.ftran_entering(work, column))),
+        }
+    }
+
     /// BTRAN of a unit position vector.
     pub(crate) fn btran_unit(&self, work: &mut [T], position: usize) {
         match self {
@@ -116,12 +129,17 @@ impl<T: Scalar> Basis<T> {
         }
     }
 
-    /// Record a pivot at basis position `position` whose FTRAN result is
-    /// `ftran_work`.
-    pub(crate) fn push_pivot(&mut self, position: usize, ftran_work: &[T]) {
+    /// Record a pivot at basis position `position` whose entering column's
+    /// [`Basis::ftran_entering`] returned `entering` and left `ftran_work`.
+    pub(crate) fn push_pivot(&mut self, position: usize, ftran_work: &[T], entering: Entering<T>) {
         match self {
             Basis::Eta(f) => f.push_pivot(position, ftran_work),
-            Basis::Lu(f) => f.push_pivot(position, ftran_work),
+            Basis::Lu(f) => {
+                let spike = entering
+                    .0
+                    .expect("an LU update needs the spike its entering FTRAN captured");
+                f.push_pivot(position, ftran_work, spike);
+            }
         }
     }
 
@@ -146,6 +164,12 @@ impl<T: Scalar> Basis<T> {
         }
     }
 }
+
+/// What an entering column's [`Basis::ftran_entering`] hands to
+/// [`Basis::push_pivot`]: the LU factors' spike, nothing for the eta file.
+/// Only `ftran_entering` builds one, so every update works from the FTRAN
+/// of the column it brings in.
+pub(crate) struct Entering<T: Scalar>(Option<Spike<T>>);
 
 /// Eta-file nonzero budget, as a multiple of the basis dimension: when the
 /// file holds more than `ETA_GROWTH_FACTOR · m` nonzeros a refactorization

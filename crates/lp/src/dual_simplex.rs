@@ -220,7 +220,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
 
         // Pivot — the same algebra as the primal revised pivot.
         sparse::clear(&mut work);
-        file.ftran(&mut work, cols.row(entering));
+        let spike = file.ftran_entering(&mut work, cols.row(entering));
         let pivot_value = work[file.row_of(position)].clone();
         let theta = x_b[position].div_ref(&pivot_value);
         for (r, t) in work.iter().enumerate() {
@@ -236,16 +236,16 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
         let d_q = d[entering].clone();
         let degenerate = d_q.is_exactly_zero();
         if !degenerate {
+            let step = d_q.div_ref(&pivot_value);
             for (j, r_j) in row.iter().enumerate() {
                 if j == entering || r_j.is_exactly_zero() {
                     continue;
                 }
-                let normalized = r_j.div_ref(&pivot_value);
-                d[j].sub_mul_assign(&d_q, &normalized);
+                d[j].sub_mul_assign(r_j, &step);
             }
         }
         d[entering] = T::zero();
-        file.push_pivot(position, &work);
+        file.push_pivot(position, &work, spike);
         basis[position] = entering;
         x_b[position] = theta;
 

@@ -29,10 +29,21 @@
 //! spike lands in the last position, then eliminates the displaced pivot
 //! row's off-diagonal entries with one sparse row elimination appended to
 //! `L` — computed column-by-column, so no row-wise copy of `U` is ever
-//! maintained. Per pivot this costs one sparse matrix–vector product (the
-//! spike), one scan of the columns right of `p`, and an `O(m − p)`
-//! permutation shift; the dense-spike eta the product-form inverse would
-//! have appended is replaced by a usually much shorter row elimination.
+//! maintained. The spike is not recomputed: it is exactly FTRAN's work
+//! vector after the `L` ops and before the `U` solve, so
+//! [`LuFactors::ftran_entering`] keeps its nonzeros in a [`Spike`] that
+//! [`LuFactors::push_pivot`] consumes. Per pivot the update therefore costs
+//! one scan of the columns right of `p` and an `O(m − p)` permutation
+//! shift; the dense-spike eta the product-form inverse would have appended
+//! is replaced by a usually much shorter row elimination.
+//!
+//! **Keeping the factors young.** Every update appends a row elimination to
+//! `L` and fills the spike into `U`, so FTRAN, BTRAN and the next update all
+//! slow down with the pivots since the last refactorization — on the exact
+//! n=14 paper LP a pivot costs ~2.5 ms on fresh factors and ~20 ms sixty
+//! pivots later, while a refactorization costs about one fresh pivot. The
+//! default interval is therefore short (see
+//! `SolverOptions::refactor_interval` and SOLVER.md §7).
 //!
 //! **Why bit-identity with the eta file (and the dense tableau) holds:**
 //! FTRAN and BTRAN compute the mathematically exact entries of `B⁻¹a` /
@@ -118,8 +129,25 @@ pub(crate) struct LuFactors<T: Scalar> {
     nnz: usize,
     /// Pivots applied since the last refactorization (interval input).
     pivots_since_refactor: usize,
-    /// Dense scratch for spike reconstruction during updates.
+    /// Bumped by every update and refactorization: a [`Spike`] is only
+    /// valid against the factors it was captured from.
+    generation: u64,
+    /// Dense scratch holding the spike during an update (all zero between
+    /// updates).
     spike: Vec<T>,
+}
+
+/// The Forrest–Tomlin spike `w = L⁻¹a` of an entering column: the nonzeros
+/// of FTRAN's work vector between the `L` ops and the `U` solve, captured by
+/// [`LuFactors::ftran_entering`] and consumed by [`LuFactors::push_pivot`].
+/// Only the capturing FTRAN can build one, and an update refuses a spike
+/// from older factors, so the update never works from a missing or stale
+/// spike.
+pub(crate) struct Spike<T: Scalar> {
+    /// Nonzero `(row, value)` pairs of `w`, rows ascending.
+    entries: Vec<(usize, T)>,
+    /// [`LuFactors::generation`] at capture time.
+    generation: u64,
 }
 
 impl<T: Scalar> LuFactors<T> {
@@ -136,6 +164,7 @@ impl<T: Scalar> LuFactors<T> {
             rinv: (0..m).collect(),
             nnz: m,
             pivots_since_refactor: 0,
+            generation: 0,
             spike: vec![T::zero(); m],
         }
     }
@@ -161,10 +190,38 @@ impl<T: Scalar> LuFactors<T> {
     /// column `a` (apply `L⁻¹`, then solve with `U`). Read position-space
     /// entries through [`LuFactors::row_of`].
     pub(crate) fn ftran(&self, work: &mut [T], column: SparseVec<'_, T>) {
+        self.apply_l(work, column);
+        self.solve_u(work);
+    }
+
+    /// FTRAN of an entering column, as [`LuFactors::ftran`], also capturing
+    /// the spike `L⁻¹a` that [`LuFactors::push_pivot`] needs to bring the
+    /// column into the basis.
+    pub(crate) fn ftran_entering(&self, work: &mut [T], column: SparseVec<'_, T>) -> Spike<T> {
+        self.apply_l(work, column);
+        let entries = work
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !w.is_exactly_zero())
+            .map(|(i, w)| (i, w.clone()))
+            .collect();
+        self.solve_u(work);
+        Spike {
+            entries,
+            generation: self.generation,
+        }
+    }
+
+    /// FTRAN head: scatter `a` and apply `L⁻¹`.
+    fn apply_l(&self, work: &mut [T], column: SparseVec<'_, T>) {
         column.scatter_into(work);
         for op in &self.ops {
             op.apply(work);
         }
+    }
+
+    /// FTRAN tail: solve with `U` in place.
+    fn solve_u(&self, work: &mut [T]) {
         sparse::solve_upper_ftran(work, &self.ucols, &self.cpos, &self.rpos);
     }
 
@@ -199,15 +256,21 @@ impl<T: Scalar> LuFactors<T> {
         }
     }
 
-    /// Record a pivot at basis position `position` whose FTRAN result (in
-    /// internal row space) is `ftran_work`: the Forrest–Tomlin update
-    /// described in the module docs.
+    /// Record a pivot at basis position `position` whose entering column's
+    /// [`LuFactors::ftran_entering`] returned `spike` and left `ftran_work`
+    /// (in internal row space): the Forrest–Tomlin update described in the
+    /// module docs. `ftran_work` is read only by the debug-build check that
+    /// the captured spike equals its reconstruction `U·x`.
     ///
     /// # Panics
-    /// Panics if the update produces a zero diagonal (the ratio test
-    /// guarantees a nonzero pivot element, which makes the updated basis
-    /// nonsingular).
-    pub(crate) fn push_pivot(&mut self, position: usize, ftran_work: &[T]) {
+    /// Panics if `spike` was captured before the factors last changed, or if
+    /// the update produces a zero diagonal (the ratio test guarantees a
+    /// nonzero pivot element, which makes the updated basis nonsingular).
+    pub(crate) fn push_pivot(&mut self, position: usize, ftran_work: &[T], spike: Spike<T>) {
+        assert_eq!(
+            spike.generation, self.generation,
+            "Forrest–Tomlin spike captured from older factors"
+        );
         let m = self.dim();
         let t = m - 1;
         // `position` is the driver's basis position == the slot of the `U`
@@ -218,17 +281,13 @@ impl<T: Scalar> LuFactors<T> {
         let p = self.cinv[slot];
         let r_p = self.slot_row[slot];
 
-        // Reconstruct the spike w = L⁻¹a = U·x from the FTRAN result x
-        // (column access only): w = Σ_j x_j · U[:, cpos[j]].
-        for j in 0..m {
-            let x_j = &ftran_work[self.rpos[j]];
-            if x_j.is_exactly_zero() {
-                continue;
-            }
-            for (i, v) in &self.ucols[self.cpos[j]] {
-                self.spike[*i].add_mul_assign(v, x_j);
-            }
+        for (i, w_i) in spike.entries {
+            self.spike[i] = w_i;
         }
+        debug_assert!(
+            !T::is_exact() || self.spike == self.spike_from_solution(ftran_work),
+            "captured spike differs from its reconstruction U·x"
+        );
 
         // Retire the replaced column and cyclically shift the triangular
         // order p..t so the spike lands last and r_p becomes the last pivot
@@ -312,6 +371,24 @@ impl<T: Scalar> LuFactors<T> {
             });
         }
         self.pivots_since_refactor += 1;
+        self.generation += 1;
+    }
+
+    /// The spike rebuilt from the FTRAN result `x` of the current factors,
+    /// `w = U·x = Σ_j x_j · U[:, cpos[j]]` (column access only): the oracle
+    /// for the spike [`LuFactors::ftran_entering`] captures.
+    fn spike_from_solution(&self, ftran_work: &[T]) -> Vec<T> {
+        let mut w = vec![T::zero(); self.dim()];
+        for j in 0..self.dim() {
+            let x_j = &ftran_work[self.rpos[j]];
+            if x_j.is_exactly_zero() {
+                continue;
+            }
+            for (i, v) in &self.ucols[self.cpos[j]] {
+                w[*i].add_mul_assign(v, x_j);
+            }
+        }
+        w
     }
 
     /// Whether the refactorization trigger has fired: either the pivot-count
@@ -501,6 +578,7 @@ impl<T: Scalar> LuFactors<T> {
         self.cpos = cpos;
         self.nnz = nnz;
         self.pivots_since_refactor = 0;
+        self.generation += 1;
         Ok(())
     }
 }
@@ -526,6 +604,14 @@ mod tests {
         ]
     }
 
+    /// Bring `col` into basis position `p` the way the simplex drivers do:
+    /// the entering FTRAN's captured spike feeds the update.
+    fn pivot_in(lu: &mut LuFactors<Rational>, work: &mut [Rational], p: usize, col: &Col) {
+        sparse::clear(work);
+        let spike = lu.ftran_entering(work, sv(col));
+        lu.push_pivot(p, work, spike);
+    }
+
     fn ftran_dense(lu: &LuFactors<Rational>, col: &Col) -> Vec<Rational> {
         let m = lu.dim();
         let mut work = vec![Rational::zero(); m];
@@ -539,9 +625,7 @@ mod tests {
         let mut lu: LuFactors<Rational> = LuFactors::identity(3);
         let mut work = vec![Rational::zero(); 3];
         for (p, col) in cols.iter().enumerate() {
-            sparse::clear(&mut work);
-            lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            pivot_in(&mut lu, &mut work, p, col);
         }
         // B·(1,1,1) = (3, 2, 3)ᵀ.
         let rhs: Col = (vec![0, 1, 2], vec![rat(3, 1), rat(2, 1), rat(3, 1)]);
@@ -555,9 +639,7 @@ mod tests {
         let mut lu: LuFactors<Rational> = LuFactors::identity(3);
         let mut work = vec![Rational::zero(); 3];
         for (p, col) in cols.iter().enumerate() {
-            sparse::clear(&mut work);
-            lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            pivot_in(&mut lu, &mut work, p, col);
         }
         let rhs: Col = (vec![0, 1, 2], vec![rat(7, 1), rat(-2, 1), rat(5, 2)]);
         let before = ftran_dense(&lu, &rhs);
@@ -580,15 +662,11 @@ mod tests {
         let mut lu: LuFactors<Rational> = LuFactors::identity(3);
         let mut work = vec![Rational::zero(); 3];
         for (p, col) in cols.iter().enumerate() {
-            sparse::clear(&mut work);
-            lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            pivot_in(&mut lu, &mut work, p, col);
         }
         // Replace position 1 (column [0,1,0]ᵀ) with [1,2,1]ᵀ.
         let entering: Col = (vec![0, 1, 2], vec![rat(1, 1), rat(2, 1), rat(1, 1)]);
-        sparse::clear(&mut work);
-        lu.ftran(&mut work, sv(&entering));
-        lu.push_pivot(1, &work);
+        pivot_in(&mut lu, &mut work, 1, &entering);
         // New B = [[2,1,1],[0,2,1],[0,1,3]] (columns 0, entering, 2).
         // Solve B x = (4, 3, 4)ᵀ: x = (1, 1, 1).
         let rhs: Col = (vec![0, 1, 2], vec![rat(4, 1), rat(3, 1), rat(4, 1)]);
@@ -606,6 +684,80 @@ mod tests {
         assert_eq!(dot(&cols[2]), Rational::zero());
     }
 
+    /// Every solve against the basis whose position `c` holds `basis[c]`:
+    /// FTRAN of each basic column is its unit vector, and each unit BTRAN
+    /// recovers the matching row of `B⁻¹` (`yᵀa_c = δ_pc`).
+    fn assert_solves_against(lu: &LuFactors<Rational>, basis: &[&Col]) {
+        let m = lu.dim();
+        for (c, col) in basis.iter().enumerate() {
+            let mut unit = vec![Rational::zero(); m];
+            unit[c] = rat(1, 1);
+            assert_eq!(ftran_dense(lu, col), unit, "FTRAN of basic column {c}");
+        }
+        for p in 0..m {
+            let mut y = vec![Rational::zero(); m];
+            lu.btran_unit(&mut y, p);
+            for (c, col) in basis.iter().enumerate() {
+                let expected = if c == p { rat(1, 1) } else { Rational::zero() };
+                assert_eq!(sv(col).dot(&y), expected, "BTRAN row {p} · column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn captured_spikes_drive_mid_basis_updates() {
+        // A dense-ish 4×4 basis pivoted in from the identity, then two
+        // updates in the middle of the basis — each fed the spike its own
+        // FTRAN captured, which must equal the U·x reconstruction — with
+        // every FTRAN/BTRAN checked against the matrix after each step.
+        let cols: Vec<Col> = vec![
+            (vec![0, 2], vec![rat(3, 1), rat(1, 2)]),
+            (vec![0, 1, 3], vec![rat(1, 1), rat(2, 1), rat(-1, 1)]),
+            (vec![1, 2], vec![rat(1, 3), rat(4, 1)]),
+            (vec![0, 2, 3], vec![rat(-2, 1), rat(1, 1), rat(5, 1)]),
+        ];
+        let replacements: [(usize, Col); 2] = [
+            (1, (vec![1, 2, 3], vec![rat(2, 1), rat(-1, 1), rat(1, 1)])),
+            (
+                2,
+                (
+                    vec![0, 1, 2, 3],
+                    vec![rat(1, 1), rat(1, 1), rat(1, 2), rat(3, 1)],
+                ),
+            ),
+        ];
+        let mut lu: LuFactors<Rational> = LuFactors::identity(4);
+        let mut work = vec![Rational::zero(); 4];
+        for (p, col) in cols.iter().enumerate() {
+            pivot_in(&mut lu, &mut work, p, col);
+        }
+        let mut basis: Vec<&Col> = cols.iter().collect();
+        assert_solves_against(&lu, &basis);
+        for (p, col) in &replacements {
+            sparse::clear(&mut work);
+            let spike = lu.ftran_entering(&mut work, sv(col));
+            let mut captured = vec![Rational::zero(); 4];
+            for (i, w_i) in &spike.entries {
+                captured[*i] = w_i.clone();
+            }
+            assert_eq!(captured, lu.spike_from_solution(&work));
+            lu.push_pivot(*p, &work, spike);
+            basis[*p] = col;
+            assert_solves_against(&lu, &basis);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "older factors")]
+    fn a_spike_from_older_factors_is_refused() {
+        let cols = columns();
+        let mut lu: LuFactors<Rational> = LuFactors::identity(3);
+        let mut work = vec![Rational::zero(); 3];
+        let stale = lu.ftran_entering(&mut work, sv(&cols[2]));
+        pivot_in(&mut lu, &mut work, 0, &cols[0]);
+        lu.push_pivot(2, &work, stale);
+    }
+
     #[test]
     fn growth_trigger_and_interval_semantics() {
         let lu: LuFactors<Rational> = LuFactors::identity(2);
@@ -617,8 +769,7 @@ mod tests {
         ];
         let mut lu: LuFactors<Rational> = LuFactors::identity(2);
         let mut work = vec![Rational::zero(); 2];
-        lu.ftran(&mut work, sv(&cols[0]));
-        lu.push_pivot(0, &work);
+        pivot_in(&mut lu, &mut work, 0, &cols[0]);
         assert!(lu.should_refactor(1));
         assert!(!lu.should_refactor(2));
         assert!(

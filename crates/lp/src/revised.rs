@@ -18,9 +18,11 @@
 //! ratio-test / pivot-column stage), one **unit BTRAN** of the leaving
 //! position (recovering the pivot row of the tableau without storing any
 //! tableau), a sparse sweep turning that row into reduced-cost updates, and
-//! one appended eta. On the paper's LPs — thousands of rows touching 2–4
-//! structural columns each — this replaces the dense update's full-matrix
-//! pass with work proportional to the factorization's actual nonzeros.
+//! one factorization update (on the LU default, a Forrest–Tomlin update
+//! built from the spike the entering FTRAN captured). On the paper's LPs —
+//! thousands of rows touching 2–4 structural columns each — this replaces
+//! the dense update's full-matrix pass with work proportional to the
+//! factorization's actual nonzeros.
 //!
 //! # Why the pivot sequence is identical to the dense form
 //!
@@ -44,7 +46,7 @@ use privmech_linalg::sparse;
 use privmech_linalg::sparse::{Csr, SparseVec};
 use privmech_linalg::Scalar;
 
-use crate::basis::Basis;
+use crate::basis::{Basis, Entering};
 use crate::model::LpError;
 use crate::pricing::FallbackState;
 use crate::ratio::choose_leaving;
@@ -165,13 +167,14 @@ impl<T: Scalar> State<T> {
     /// reduced costs (the dense objective-row recurrence over the BTRAN'd
     /// pivot row — skipped with `update_costs: false` for drive-out pivots,
     /// whose stale phase-1 costs the phase-2 rebuild discards anyway), the
-    /// eta file and the basis. `self.work` must hold the entering column's
-    /// FTRAN result.
+    /// factorization and the basis. `self.work` must hold the entering
+    /// column's FTRAN result, and `spike` is what that FTRAN returned.
     fn pivot(
         &mut self,
         matrix: &Matrix<'_, T>,
         position: usize,
         entering: usize,
+        spike: Entering<T>,
         update_costs: bool,
     ) {
         let pivot_value = self.work[self.file.row_of(position)].clone();
@@ -194,22 +197,24 @@ impl<T: Scalar> State<T> {
 
         // Reduced costs: d_j ← d_j − d_q·(r_j / r_q) over the recovered
         // pivot row — the recurrence the dense form applies to its objective
-        // row — plus the objective value's matching update.
+        // row — plus the objective value's matching update. Computed as
+        // d_j − r_j·(d_q / r_q), one division per pivot instead of one per
+        // entry: over an exact field both are the same value.
         let d_q = self.d[entering].clone();
         if update_costs && !d_q.is_exactly_zero() {
             self.compute_pivot_row(matrix, position);
+            let step = d_q.div_ref(&pivot_value);
             for (j, r_j) in self.row.iter().enumerate() {
                 if j == entering || r_j.is_exactly_zero() {
                     continue;
                 }
-                let normalized = r_j.div_ref(&pivot_value);
-                self.d[j].sub_mul_assign(&d_q, &normalized);
+                self.d[j].sub_mul_assign(r_j, &step);
             }
             self.d[entering] = T::zero();
             self.obj_val.add_mul_assign(&d_q, &theta);
         }
 
-        self.file.push_pivot(position, &self.work);
+        self.file.push_pivot(position, &self.work, spike);
         self.basis[position] = entering;
         self.x_b[position] = theta;
     }
@@ -252,7 +257,9 @@ impl<T: Scalar> State<T> {
                 return Ok(());
             };
             sparse::clear(&mut self.work);
-            self.file.ftran(&mut self.work, matrix.col(entering));
+            let spike = self
+                .file
+                .ftran_entering(&mut self.work, matrix.col(entering));
             let bland_mode = pricing.bland_mode();
             let file = &self.file;
             let work = &self.work;
@@ -268,7 +275,7 @@ impl<T: Scalar> State<T> {
             };
             let leaving_col = self.basis[position];
             let pivot_element = self.work[self.file.row_of(position)].to_f64();
-            self.pivot(matrix, position, entering, true);
+            self.pivot(matrix, position, entering, spike, true);
             // Devex reference-weight maintenance (no-op for other rules):
             // `self.row` still holds the raw BTRAN'd pivot row computed by
             // the reduced-cost update, so normalizing by the pivot element
@@ -378,8 +385,8 @@ pub(crate) fn solve_revised<T: Scalar>(
             let replacement = (0..sf.num_cols).find(|&j| !state.row[j].is_zero_approx());
             if let Some(col) = replacement {
                 sparse::clear(&mut state.work);
-                state.file.ftran(&mut state.work, matrix.col(col));
-                state.pivot(&matrix, position, col, false);
+                let spike = state.file.ftran_entering(&mut state.work, matrix.col(col));
+                state.pivot(&matrix, position, col, spike, false);
                 record(trace, TracePhase::DriveOut, col, position);
             }
             // A row with no replacement is redundant; the artificial stays

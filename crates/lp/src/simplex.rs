@@ -188,11 +188,15 @@ pub struct SolverOptions {
     /// Which simplex implementation to run (a result-invariant execution
     /// detail; see [`SolverForm`]).
     pub form: SolverForm,
-    /// Revised simplex only: pivots between basis refactorizations.
-    /// [`SolverOptions::NEVER_REFACTOR`] disables refactorization (the
-    /// factorization then grows by one update per pivot); a *growth* trigger
-    /// fires early regardless of the interval (see `crate::basis`). Ignored
-    /// by the dense form.
+    /// Revised simplex only: pivots between basis refactorizations, default
+    /// 8. Each Forrest–Tomlin update makes every later FTRAN, BTRAN and
+    /// update dearer, while a refactorization costs about one pivot on
+    /// fresh factors, so a short interval is fastest (measured ladder in
+    /// SOLVER.md §7). [`SolverOptions::NEVER_REFACTOR`] disables
+    /// refactorization (the factorization then grows by one update per
+    /// pivot); a *growth* trigger fires early regardless of the interval
+    /// (see `crate::basis`). The interval never changes a result. Ignored by
+    /// the dense form.
     pub refactor_interval: usize,
     /// Revised simplex only: which basis-factorization representation to
     /// maintain (a result-invariant execution detail; see
@@ -218,7 +222,7 @@ impl Default for SolverOptions {
             pricing: PricingRule::default(),
             degeneracy_streak_limit: 8,
             form: SolverForm::default(),
-            refactor_interval: 64,
+            refactor_interval: 8,
             factorization: FactorizationKind::default(),
             scaling: ScalingMode::default(),
             warm_start: WarmStartMode::default(),

@@ -267,7 +267,7 @@ proptest! {
         let m = random_model(&coeffs, &rhs, &costs, free_var);
         let reference = solve_model_traced(&m, &with_form(SolverForm::Revised));
         for factorization in [FactorizationKind::LuForrestTomlin, FactorizationKind::EtaFile] {
-            for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
+            for interval in [1, SolverOptions::default().refactor_interval, 64, SolverOptions::NEVER_REFACTOR] {
                 let run = solve_model_traced(&m, &SolverOptions {
                     form: SolverForm::Revised,
                     factorization,
@@ -320,7 +320,7 @@ proptest! {
             ..SolverOptions::default()
         }).unwrap();
         for factorization in [FactorizationKind::LuForrestTomlin, FactorizationKind::EtaFile] {
-            for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
+            for interval in [1, SolverOptions::default().refactor_interval, 64, SolverOptions::NEVER_REFACTOR] {
                 let run = solve_model_traced(&m, &SolverOptions {
                     scaling: ScalingMode::Equilibrate,
                     factorization,
@@ -396,7 +396,12 @@ fn degenerate_cycling_lp_identical_across_forms_and_frequencies() {
     let reference = run(SolverForm::Dense, 64);
     assert_eq!(reference.0.objective, rat(1, 1));
     assert!(reference.0.stats.fallback_activations > 0 || reference.0.stats.degenerate_pivots > 0);
-    for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
+    for interval in [
+        1,
+        SolverOptions::default().refactor_interval,
+        64,
+        SolverOptions::NEVER_REFACTOR,
+    ] {
         let revised = run(SolverForm::Revised, interval);
         assert_eq!(reference, revised, "interval {interval}");
     }
@@ -429,6 +434,7 @@ fn structured_corpus_csr_revised_matches_dense_oracle() {
             for interval in [
                 1,
                 SolverOptions::default().refactor_interval,
+                64,
                 SolverOptions::NEVER_REFACTOR,
             ] {
                 let revised = solve_model_traced(
